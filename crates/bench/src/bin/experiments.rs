@@ -18,7 +18,11 @@
 //! `--assert-budget[=MULT]` measures NRA(lazy) and CA(h=2) against TA on
 //! every workload shape at n = 10 000 and exits non-zero if any exceeds
 //! `MULT ×` TA's wall time (default 8×) — the CI smoke test that keeps
-//! bound-engine bookkeeping regressions out of the build.
+//! bound-engine bookkeeping regressions out of the build. It also runs
+//! NRA (both strategies) under Average at k = 50 on the zipf workload and
+//! exits non-zero if b = 1 takes more than 5× the same run at b = 64,
+//! whose sorted accesses match to within one batch per list: per-round
+//! bookkeeping must not grow with k.
 //!
 //! `--assert-access-counts[=PATH]` re-measures the full-scale algorithm
 //! grid and exits non-zero if any `sorted`/`random` access count differs
@@ -62,6 +66,12 @@ use fagin_bench::{report, Scale};
 /// past 100×, the PR 3 engine sat under 10×); 8× leaves room for CI noise
 /// while still catching any bookkeeping regression.
 const DEFAULT_BUDGET_MULTIPLE: f64 = 8.0;
+
+/// Wall-time multiple of the batch-normalized rows of `--assert-budget`:
+/// NRA (Average, k = 50) at b = 1 against itself at b = 64. The
+/// incremental `T_k` selection keeps it near 2×; re-evaluating every
+/// member each round put it at ≈21×.
+const DEFAULT_BATCH_BUDGET_MULTIPLE: f64 = 5.0;
 
 /// Default minimum `qps(w=4) / qps(w=1)` on the cached mixed stream: with
 /// single-flight coalescing the ratio sits near 1 even on one core (and
@@ -205,6 +215,27 @@ fn main() {
                 row.wall_secs * 1e3,
                 row.ta_secs * 1e3,
                 row.ratio,
+                if row.ok { "ok" } else { "OVER BUDGET" }
+            );
+            if !row.ok {
+                failed = true;
+            }
+        }
+        println!(
+            "batch-normalized guardrail (limit: {DEFAULT_BATCH_BUDGET_MULTIPLE}x the same run at b={})",
+            report::BATCH_BUDGET_SIZE
+        );
+        for row in report::batch_normalized_guardrail(scale, DEFAULT_BATCH_BUDGET_MULTIPLE) {
+            println!(
+                "  {:14} {:10} avg k=50 {:9.3}ms vs b={} {:9.3}ms -> {:6.1}x (sorted {} vs {}) {}",
+                row.workload,
+                row.algorithm,
+                row.scalar_secs * 1e3,
+                report::BATCH_BUDGET_SIZE,
+                row.batched_secs * 1e3,
+                row.ratio,
+                row.sorted.0,
+                row.sorted.1,
                 if row.ok { "ok" } else { "OVER BUDGET" }
             );
             if !row.ok {

@@ -143,12 +143,14 @@ pub struct RunMetrics {
     /// (CA bookkeeping).
     pub random_access_phases: u64,
     /// Number of `W`/`B` aggregation evaluations the bound bookkeeping
-    /// performed: one per learned field (the `W` refresh), plus every lazy
-    /// refresh of a stale `B` upper bound during halting checks, selection
+    /// performed: one per learned field (the `W` refresh), one fresh `B`
+    /// per candidate displaced from `T_k`, plus every lazy refresh of a
+    /// stale outsider `B` bound during halting checks, selection
     /// tie-breaks, and CA's random-access target choice. Under the
-    /// incremental engine this grows with the *accesses* (times a small
-    /// per-round constant), not quadratically with the candidate count as
-    /// the historical exhaustive strategy did (Remark 8.7).
+    /// incremental engine this is a small constant per *access* that does
+    /// not grow with `k` (`T_k` members are never re-evaluated just for
+    /// being members), not quadratic in the candidate count as the
+    /// historical exhaustive strategy was (Remark 8.7).
     pub bound_recomputations: u64,
     /// Objects the NRA/CA bound engine permanently evicted via the
     /// viability rule (`B(R) < M_k` with `T_k` full ⇒ `R` can never enter
